@@ -13,6 +13,7 @@ the reproduction record.
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -44,3 +45,20 @@ def attach_results(benchmark, results) -> None:
 def run_once(benchmark, fn, *args, **kwargs):
     """One-round pedantic run (a simulated day is one unit of work)."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def timed_run_once(benchmark, fn, *args, **kwargs):
+    """:func:`run_once` that also returns the call's own ``perf_counter``
+    seconds, for benches that assert on the measured time: unlike
+    ``benchmark.stats`` (``None`` under ``--benchmark-disable``), the
+    timing exists in every mode."""
+    elapsed: list[float] = []
+
+    def timed():
+        t0 = time.perf_counter()
+        out = fn(*args, **kwargs)
+        elapsed.append(time.perf_counter() - t0)
+        return out
+
+    result = run_once(benchmark, timed)
+    return result, elapsed[-1]

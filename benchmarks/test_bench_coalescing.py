@@ -30,7 +30,7 @@ from repro.experiments.runner import SOCSimulation
 from repro.experiments.scenarios import mega_configs
 from repro.sim.engine import Simulator
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_once, timed_run_once
 
 #: Members / cohorts for the raw machinery bench.
 TICK_MEMBERS = 10_000
@@ -97,8 +97,7 @@ def test_cohort_ticking_machinery_5x(benchmark):
     per_node_ticks = _tick_per_node()
     per_node_s = time.perf_counter() - t0
 
-    cohort_ticks = run_once(benchmark, _tick_cohort)
-    cohort_s = benchmark.stats.stats.mean
+    cohort_ticks, cohort_s = timed_run_once(benchmark, _tick_cohort)
 
     assert cohort_ticks == per_node_ticks  # same members, same instants
     ratio = per_node_s / cohort_s
@@ -132,8 +131,7 @@ def test_cohort_round_throughput(benchmark, scale):
     per_node = run("per-node")
     per_node_s = time.perf_counter() - t0
 
-    cohort = run_once(benchmark, run, "cohort")
-    cohort_s = benchmark.stats.stats.mean
+    cohort, cohort_s = timed_run_once(benchmark, run, "cohort")
 
     # Free identity check: same rounds, same records, same traffic.
     assert cohort.traffic_by_kind == per_node.traffic_by_kind

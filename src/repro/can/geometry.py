@@ -348,9 +348,12 @@ class ZoneStore:
         return ok_lo & ok_hi
 
     def adjacency(
-        self, node_id: int, ids: Sequence[int] | np.ndarray
+        self, node_ids: Sequence[int], ids: Sequence[int] | np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched CAN neighborship of ``node_id`` against candidates.
+        """Row-paired batched CAN neighborship: candidate ``ids[i]``
+        against the stored node ``node_ids[i]`` (several nodes' rebinds
+        classified in one call; repeat one id to test one node against
+        every candidate).
 
         Returns ``(adjacent, dims, signs)``: a bool mask plus, for rows
         where it is set, the shared-face dimension and the side
@@ -366,7 +369,7 @@ class ZoneStore:
         signs = np.ones(n, dtype=np.int64)
         if not present.any():
             return adjacent, dims, signs
-        me = self._row_of[node_id]
+        me = self._row_by_id[np.asarray(node_ids, dtype=np.int64)[present]]
         a_lo, a_hi = self._lo[me], self._hi[me]
         b_lo = self._lo[rows[present]]
         b_hi = self._hi[rows[present]]

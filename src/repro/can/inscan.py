@@ -110,41 +110,33 @@ def build_index_table(
     if max_exponent is None:
         max_exponent = max_pointer_exponent(len(overlay), overlay.dims)
     table = IndexPointerTable(node_id)
-    for dim in range(overlay.dims):
-        for sign in (+1, -1):
-            chain: list[int] = []
-            current = node_id
-            target_hops = 1 << max_exponent
-            hop = 0
-            while hop < target_hops:
-                nxt = _step_directional(overlay, current, dim, sign, rng)
-                if nxt is None:
-                    break  # reached the edge of the CAN space
-                hop += 1
-                table.build_messages += 1
-                current = nxt
-                if hop == (1 << len(chain)):
-                    chain.append(current)
-            if chain:
-                table.links[(dim, sign)] = chain
+    nodes = overlay.nodes
+    index_faces = overlay.index_faces
+    target_hops = 1 << max_exponent
+    # Face-key order (dim-major, positive side first) is the walk order,
+    # and so the RNG draw order, of the seed's nested dim/sign loops.
+    for slot, key in enumerate(overlay.face_keys):
+        chain: list[int] = []
+        current = node_id
+        hop = 0
+        while hop < target_hops:
+            # One randomized hop across the face: the cached neighbor
+            # tuple of the current node, as directional_neighbors reads it.
+            node = nodes[current]
+            candidates = (node.face_index or index_faces(node))[slot]
+            if not candidates:
+                break  # reached the edge of the CAN space
+            if len(candidates) == 1:
+                current = candidates[0]
+            else:
+                current = candidates[int(rng.integers(len(candidates)))]
+            hop += 1
+            if hop == (1 << len(chain)):
+                chain.append(current)
+        table.build_messages += hop
+        if chain:
+            table.links[key] = chain
     return table
-
-
-def _step_directional(
-    overlay: CANOverlay,
-    node_id: int,
-    dim: int,
-    sign: int,
-    rng: np.random.Generator,
-) -> Optional[int]:
-    """One randomized hop across the ``(dim, sign)`` face, or None at the
-    space edge."""
-    candidates = overlay.directional_neighbors(node_id, dim, sign)
-    if not candidates:
-        return None
-    if len(candidates) == 1:
-        return candidates[0]
-    return int(candidates[int(rng.integers(len(candidates)))])
 
 
 def inscan_path(

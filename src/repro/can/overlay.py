@@ -20,10 +20,12 @@ authoritative :class:`~repro.can.zone.Zone` objects (split history,
 takeover), while :class:`~repro.can.geometry.ZoneStore` mirrors every
 live zone's bounds in SoA matrices so routing and rebinding evaluate
 whole candidate sets as array ops.  Every leaf-binding change syncs the
-store row; rebinding classifies the candidate neighborhood with one
-batched adjacency call and caches each edge's ``(dim, sign)`` on both
-endpoints, so ``directional_neighbors`` — the hot inner step of the
-INSCAN directional walks — is a dict filter.
+store row; each join or leave rebinds every affected node's candidate
+neighborhood with one row-paired adjacency call and caches each edge's
+interned ``(dim, sign)`` on both endpoints.  ``directional_neighbors`` —
+the hot inner step of the INSCAN directional walks — reads a per-node
+face index built lazily from those directions and dropped whenever the
+node's edges change.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.can.geometry import ZoneStore
-from repro.can.node import OverlayNode
+from repro.can.node import OverlayNode, face_keys, face_slot
 from repro.can.partition_tree import PartitionTree, TakeoverPlan
 from repro.can.zone import adjacency_direction
 
@@ -62,6 +64,16 @@ class CANOverlay:
         self.geometry = ZoneStore(dims, compact=compact)
         #: Routing candidate pools (managed by :mod:`repro.can.routing`).
         self._route_pools: dict = {}
+        #: The interned ``(dim, sign)`` of each face, indexed by
+        #: :func:`~repro.can.node.face_slot`: every edge end stores one of
+        #: these shared tuples in ``OverlayNode.directions`` (and INSCAN
+        #: tables key their links by them).
+        self.face_keys = face_keys(dims)
+        #: ``face_keys`` mirrored slot for slot: the direction the other
+        #: end of an edge stores.
+        self._mirror_keys = tuple(
+            self.face_keys[face_slot(dim, -sign)] for dim, sign in self.face_keys
+        )
 
     # ------------------------------------------------------------------
     # membership queries
@@ -83,13 +95,22 @@ class CANOverlay:
 
     def directional_neighbors(
         self, node_id: int, dim: int, sign: int
-    ) -> list[int]:
+    ) -> tuple[int, ...]:
         """Adjacent neighbors across the ``(dim, sign)`` face, sorted for
-        determinism — a filter over the cached edge directions."""
-        key = (dim, sign)
-        return sorted(
-            m for m, d in self.nodes[node_id].directions.items() if d == key
-        )
+        determinism — the node's cached face-index entry (read-only)."""
+        node = self.nodes[node_id]
+        index = node.face_index or self.index_faces(node)
+        return index[face_slot(dim, sign)]
+
+    def index_faces(self, node: OverlayNode) -> list[tuple[int, ...]]:
+        """Build ``node``'s face index from its cached edge directions and
+        cache it on the node.  Hot loops read ``node.face_index or
+        overlay.index_faces(node)`` so a built index costs no call."""
+        groups: list[list[int]] = [[] for _ in self.face_keys]
+        for m, key in node.directions.items():
+            groups[face_slot(*key)].append(m)
+        index = node.face_index = [tuple(sorted(g)) for g in groups]
+        return index
 
     # ------------------------------------------------------------------
     # construction
@@ -129,8 +150,10 @@ class CANOverlay:
         self.geometry.add(node_id, new_leaf.zone)
 
         # Rebind adjacency among {owner, joiner} ∪ previous neighborhood.
-        self._rebind_neighbors(owner_id, old_neighbors | {node_id})
-        self._rebind_neighbors(node_id, old_neighbors | {owner_id})
+        self._rebind_neighbors([
+            (owner_id, old_neighbors | {node_id}),
+            (node_id, old_neighbors | {owner_id}),
+        ])
         return new_node
 
     # ------------------------------------------------------------------
@@ -145,6 +168,7 @@ class CANOverlay:
             peer = self.nodes[m]
             peer.neighbors.discard(node_id)
             peer.directions.pop(node_id, None)
+            peer.face_index = None
         self.geometry.remove(node_id)
 
         assert self.tree is not None
@@ -162,7 +186,7 @@ class CANOverlay:
             # Sibling merge: absorber's zone grew to cover the departed
             # zone; candidates are both old neighborhoods.
             self._rebind_neighbors(
-                plan.absorber, absorber_old | departed_neighbors
+                [(plan.absorber, absorber_old | departed_neighbors)]
             )
         else:
             mover = self.nodes[plan.mover]
@@ -170,45 +194,71 @@ class CANOverlay:
             assert plan.mover_leaf is not None
             mover.leaf = plan.mover_leaf
             self.geometry.update(plan.mover, plan.mover_leaf.zone)
-            # The absorber swallowed the mover's old zone: candidates are
-            # its own old neighbors plus the mover's.
-            self._rebind_neighbors(plan.absorber, absorber_old | mover_old)
-            # The mover relocated into the departed zone: candidates are
-            # the departed node's neighbors (plus the absorber, which now
-            # owns the zone the mover vacated, and its old neighbors for
-            # the removal side of rebinding).
-            self._rebind_neighbors(
-                plan.mover, departed_neighbors | mover_old | {plan.absorber}
-            )
+            self._rebind_neighbors([
+                # The absorber swallowed the mover's old zone: candidates
+                # are its own old neighbors plus the mover's.
+                (plan.absorber, absorber_old | mover_old),
+                # The mover relocated into the departed zone: candidates
+                # are the departed node's neighbors (plus the absorber,
+                # which now owns the zone the mover vacated, and its old
+                # neighbors for the removal side of rebinding).
+                (plan.mover, departed_neighbors | mover_old | {plan.absorber}),
+            ])
         return plan
 
     # ------------------------------------------------------------------
     # adjacency maintenance
     # ------------------------------------------------------------------
-    def _rebind_neighbors(self, node_id: int, candidates: set[int]) -> None:
-        """Recompute ``node_id``'s adjacency against ``candidates`` in one
-        batched geometry call and make the affected edges (and their
-        cached directions) symmetric.  Candidates not actually adjacent
-        are removed if previously linked."""
-        node = self.nodes[node_id]
-        cands = [c for c in candidates if c != node_id and c in self.nodes]
-        if not cands:
+    def _rebind_neighbors(self, pairs: list[tuple[int, set[int]]]) -> None:
+        """Recompute each ``(node_id, candidates)`` pair's adjacency in one
+        row-paired geometry call, then make the affected edges (and their
+        cached directions) symmetric, pair by pair and candidate by
+        candidate in iteration order.  Candidates not actually adjacent
+        are unlinked if previously linked; every node whose edges change
+        drops its face index."""
+        nodes = self.nodes
+        per_pair: list[list[int]] = []
+        me_ids: list[int] = []
+        for node_id, candidates in pairs:
+            cands = [c for c in candidates if c != node_id and c in nodes]
+            per_pair.append(cands)
+            me_ids.extend([node_id] * len(cands))
+        if not me_ids:
             return
-        adjacent, dims, signs = self.geometry.adjacency(node_id, cands)
-        for cand_id, ok, dim, sign in zip(
-            cands, adjacent.tolist(), dims.tolist(), signs.tolist()
-        ):
-            cand = self.nodes[cand_id]
-            if ok:
-                node.neighbors.add(cand_id)
-                node.directions[cand_id] = (dim, sign)
-                cand.neighbors.add(node_id)
-                cand.directions[node_id] = (dim, -sign)
-            else:
-                node.neighbors.discard(cand_id)
-                node.directions.pop(cand_id, None)
-                cand.neighbors.discard(node_id)
-                cand.directions.pop(node_id, None)
+        adjacent, dims, signs = self.geometry.adjacency(
+            me_ids, [c for cands in per_pair for c in cands]
+        )
+        oks = adjacent.tolist()
+        slots = face_slot(dims, signs).tolist()
+        keys, mirror_keys = self.face_keys, self._mirror_keys
+        start = 0
+        for (node_id, _), cands in zip(pairs, per_pair):
+            node = nodes[node_id]
+            links = node.directions
+            stop = start + len(cands)
+            for cand_id, ok, slot in zip(cands, oks[start:stop], slots[start:stop]):
+                if ok:
+                    key = keys[slot]
+                    # Interned keys: identity means the edge is already
+                    # linked in this direction, so nothing changes.
+                    if links.get(cand_id) is key:
+                        continue
+                    cand = nodes[cand_id]
+                    node.neighbors.add(cand_id)
+                    links[cand_id] = key
+                    node.face_index = None
+                    cand.neighbors.add(node_id)
+                    cand.directions[node_id] = mirror_keys[slot]
+                    cand.face_index = None
+                elif cand_id in links:
+                    cand = nodes[cand_id]
+                    node.neighbors.discard(cand_id)
+                    del links[cand_id]
+                    node.face_index = None
+                    cand.neighbors.discard(node_id)
+                    del cand.directions[node_id]
+                    cand.face_index = None
+            start = stop
 
     # ------------------------------------------------------------------
     # invariants (test support; O(n^2))
@@ -264,3 +314,17 @@ class CANOverlay:
                 assert set(node.directions) == node.neighbors, (
                     f"direction cache of {node_id} out of sync"
                 )
+                for m, key in node.directions.items():
+                    assert key is self.face_keys[face_slot(*key)], (
+                        f"direction {node_id}->{m} is not interned"
+                    )
+                if node.face_index is None:
+                    continue
+                for slot, key in enumerate(self.face_keys):
+                    expected = tuple(sorted(
+                        m for m, d in node.directions.items() if d == key
+                    ))
+                    assert node.face_index[slot] == expected, (
+                        f"face index of {node_id} at {key}: "
+                        f"{node.face_index[slot]} != {expected}"
+                    )

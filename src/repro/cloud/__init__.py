@@ -15,7 +15,7 @@ from repro.cloud.resources import (
     ResourceVector,
     dominates,
 )
-from repro.cloud.machine import MachineConfig, sample_machine, sample_machines, CMAX
+from repro.cloud.machine import MachineConfig, sample_machines, CMAX
 from repro.cloud.tasks import Task, TaskFactory
 from repro.cloud.workload import PoissonWorkload
 from repro.cloud.psm import (
@@ -33,7 +33,6 @@ __all__ = [
     "ResourceVector",
     "dominates",
     "MachineConfig",
-    "sample_machine",
     "sample_machines",
     "CMAX",
     "Task",

@@ -26,7 +26,6 @@ from repro.cloud.resources import ResourceVector
 
 __all__ = [
     "MachineConfig",
-    "sample_machine",
     "sample_machines",
     "capacity_matrix",
     "CMAX",
@@ -38,6 +37,8 @@ _RATES = (1.0, 2.0, 2.4, 3.2)
 _IO_SPEEDS = (20.0, 40.0, 60.0, 80.0)
 _MEM_SIZES = (512.0, 1024.0, 2048.0, 4096.0)
 _DISK_SIZES = (20.0, 60.0, 120.0, 240.0)
+#: The tables in the order each machine's picks are drawn.
+_DRAW_ORDER = (_PROCESSORS, _RATES, _IO_SPEEDS, _DISK_SIZES, _MEM_SIZES)
 
 #: System-wide maximum capacity per dimension (cpu, io, net, disk, mem).
 #: net = 10 Mbps is the top of the LAN bandwidth range.
@@ -68,33 +69,35 @@ class MachineConfig:
         )
 
 
-def sample_machine(rng: np.random.Generator, net_bandwidth_mbps: float) -> MachineConfig:
-    """Draw one Table-I configuration.
-
-    ``net_bandwidth_mbps`` comes from the network model (the host's LAN),
-    keeping the capacity dimension consistent with the transfer-delay model.
-    """
-    return MachineConfig(
-        processors=int(rng.choice(_PROCESSORS)),
-        rate_per_processor=float(rng.choice(_RATES)),
-        io_speed=float(rng.choice(_IO_SPEEDS)),
-        net_bandwidth_mbps=float(net_bandwidth_mbps),
-        disk_size=float(rng.choice(_DISK_SIZES)),
-        memory_size=float(rng.choice(_MEM_SIZES)),
-    )
-
-
 def sample_machines(
     rng: np.random.Generator, net_bandwidths_mbps: list[float]
 ) -> list[MachineConfig]:
     """Draw one Table-I configuration per LAN bandwidth entry.
 
-    Stream-compatible with repeated :func:`sample_machine` calls: the
-    draws happen machine-by-machine in the exact same order, so a seeded
-    population is identical whether it was sampled one host at a time
-    (the seed runner) or in one batch (the host-engine runner).
+    ``net_bandwidths_mbps`` come from the network model (each host's
+    LAN), keeping the capacity dimension consistent with the
+    transfer-delay model.  Every table pick of every machine comes from
+    one ``rng.integers`` call over the tiled table sizes.  That yields
+    the same indices, and leaves the generator in the same state, as
+    drawing each pick with ``rng.choice`` host by host (the seed's
+    sampler, kept as :func:`repro.testing.reference_sample_machine`), so
+    a seeded population is identical whether it was sampled one host at
+    a time (churn joins) or in one batch (the initial population).
     """
-    return [sample_machine(rng, bw) for bw in net_bandwidths_mbps]
+    n = len(net_bandwidths_mbps)
+    highs = np.tile([len(t) for t in _DRAW_ORDER], n)
+    picks = rng.integers(0, highs).reshape(n, len(_DRAW_ORDER)).tolist()
+    return [
+        MachineConfig(
+            processors=_PROCESSORS[p],
+            rate_per_processor=_RATES[r],
+            io_speed=_IO_SPEEDS[i],
+            net_bandwidth_mbps=float(bw),
+            disk_size=_DISK_SIZES[d],
+            memory_size=_MEM_SIZES[m],
+        )
+        for (p, r, i, d, m), bw in zip(picks, net_bandwidths_mbps)
+    ]
 
 
 def capacity_matrix(machines: list[MachineConfig]) -> np.ndarray:

@@ -35,7 +35,6 @@ from repro.cloud.machine import (
     CMAX,
     MachineConfig,
     capacity_matrix,
-    sample_machine,
     sample_machines,
 )
 from repro.cloud.resources import dominates
@@ -340,7 +339,8 @@ class SOCSimulation:
         node_id = self._next_node_id
         self._next_node_id += 1
         self.network.add_node(node_id)
-        machine = sample_machine(machine_rng, self.network.node_bandwidth_mbps(node_id))
+        bandwidth = self.network.node_bandwidth_mbps(node_id)
+        machine = sample_machines(machine_rng, [bandwidth])[0]
         self.engine.add_host(node_id, machine.capacity.values)
         self.hosts[node_id] = HostNode(node_id, machine)
         self._alive.add(node_id)

@@ -13,6 +13,7 @@ hop costs "about 200 milliseconds on the WAN".
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,11 @@ class NetworkModel:
         self._rng = rng
         self._lan_of: dict[int, int] = {}
         self._lan_members: dict[int, int] = {}
+        #: Lazy ``(count, lan)`` min-heap over ``_lan_members``: every
+        #: count change pushes the new pair and entries whose count is no
+        #: longer live are dropped when they surface, so the top is the
+        #: least-populated LAN (lowest id on ties) in O(log L) per join.
+        self._lan_heap: list[tuple[int, int]] = []
         self._lan_bw: dict[int, float] = {}
         self._wan_bw: dict[int, float] = {}
         # Dense mirrors of the dicts, indexed by node id / LAN id, so
@@ -91,7 +97,7 @@ class NetworkModel:
             return
         lan = self._pick_lan()
         self._lan_of[node_id] = lan
-        self._lan_members[lan] = self._lan_members.get(lan, 0) + 1
+        self._set_lan_count(lan, self._lan_members.get(lan, 0) + 1)
         if lan not in self._lan_bw:
             bw = float(
                 self._rng.uniform(self.params.lan_bw_mbps_lo, self.params.lan_bw_mbps_hi)
@@ -111,20 +117,33 @@ class NetworkModel:
     def remove_node(self, node_id: int) -> None:
         lan = self._lan_of.pop(node_id, None)
         if lan is not None:
-            self._lan_members[lan] -= 1
+            self._set_lan_count(lan, self._lan_members[lan] - 1)
         self._wan_bw.pop(node_id, None)
         if 0 <= node_id < self._lan_arr.shape[0]:
             self._lan_arr[node_id] = -1
             self._wan_arr[node_id] = self.params.wan_bw_mbps_lo
 
+    def _set_lan_count(self, lan: int, count: int) -> None:
+        self._lan_members[lan] = count
+        heap = self._lan_heap
+        heapq.heappush(heap, (count, lan))
+        if len(heap) > 2 * len(self._lan_members) + 64:
+            # Churn buries stale entries below the top; rebuild from the
+            # live counts so the heap stays O(L).
+            heap[:] = [(c, l) for l, c in self._lan_members.items()]
+            heapq.heapify(heap)
+
     def _pick_lan(self) -> int:
-        n_lans = len(self._lan_members)
-        if n_lans == 0:
+        heap = self._lan_heap
+        if not heap:
             return 0
+        members = self._lan_members
+        while members[heap[0][1]] != heap[0][0]:
+            heapq.heappop(heap)
         # Fill partially-empty LANs first; open a new LAN when all are full.
-        lan, count = min(self._lan_members.items(), key=lambda kv: (kv[1], kv[0]))
+        count, lan = heap[0]
         if count >= self.params.lan_size:
-            return n_lans
+            return len(members)
         return lan
 
     def lan_of(self, node_id: int) -> int:

@@ -19,6 +19,8 @@ vectorized hot paths, verbatim, as equivalence oracles:
 - :class:`ReferenceNodeExecutor` / :class:`ReferenceHostEngine` — the
   per-host dict-of-tasks PSM executor (and a thin engine-API shim over a
   fleet of them), against :class:`repro.cloud.engine.HostEngine`;
+- :func:`reference_sample_machine` — the per-host ``rng.choice`` Table-I
+  sampler, against the one-draw :func:`repro.cloud.machine.sample_machines`;
 - :class:`ReferenceZone` / :func:`reference_adjacency_direction` /
   :class:`ReferenceCANOverlay` / :func:`reference_greedy_path` — the
   per-object scalar CAN geometry, per-call adjacency recomputation and
@@ -47,8 +49,17 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.can.inscan import build_index_table
+from repro.can.node import face_slot
 from repro.can.overlay import CANOverlay
 from repro.can.routing import RoutingError, greedy_path, greedy_paths
+from repro.cloud.machine import (
+    _DISK_SIZES,
+    _IO_SPEEDS,
+    _MEM_SIZES,
+    _PROCESSORS,
+    _RATES,
+    MachineConfig,
+)
 from repro.cloud.psm import DEFAULT_OVERHEAD, VMOverhead, effective_capacity
 from repro.cloud.tasks import N_WORK_DIMS, Task
 from repro.core.context import ProtocolContext
@@ -564,6 +575,20 @@ def assert_engines_equivalent(
     return stats
 
 
+def reference_sample_machine(
+    rng: np.random.Generator, net_bandwidth_mbps: float
+) -> MachineConfig:
+    """The seed's per-host Table-I sampler: five ``rng.choice`` calls."""
+    return MachineConfig(
+        processors=int(rng.choice(_PROCESSORS)),
+        rate_per_processor=float(rng.choice(_RATES)),
+        io_speed=float(rng.choice(_IO_SPEEDS)),
+        net_bandwidth_mbps=float(net_bandwidth_mbps),
+        disk_size=float(rng.choice(_DISK_SIZES)),
+        memory_size=float(rng.choice(_MEM_SIZES)),
+    )
+
+
 # ----------------------------------------------------------------------
 # scalar CAN geometry / routing oracles (the seed implementations,
 # preserved verbatim)
@@ -652,39 +677,40 @@ def reference_is_negative_direction_of(b, a) -> bool:
 class ReferenceCANOverlay(CANOverlay):
     """Scalar oracle overlay: identical membership/tree mechanics, but
     adjacency is recomputed per call and per candidate with the verbatim
-    scalar predicate — no batched geometry, no cached edge directions.
+    scalar predicate — no batched geometry, no cached edge directions or
+    face indexes.
     Routed with :func:`reference_greedy_path` it reproduces the seed's
     behaviour end to end; the lockstep equivalence suites drive it next
     to the vectorized :class:`~repro.can.overlay.CANOverlay`."""
 
     _caches_directions = False
 
-    def directional_neighbors(
-        self, node_id: int, dim: int, sign: int
-    ) -> list[int]:
-        node = self.nodes[node_id]
-        out = []
+    def index_faces(self, node) -> list[tuple[int, ...]]:
+        """Recomputed on every call with the scalar predicate and never
+        cached, so every directional lookup and table walk re-derives
+        its neighbors from the zones."""
+        faces: list[list[int]] = [[] for _ in self.face_keys]
         for m in node.neighbors:
             d = reference_adjacency_direction(node.zone, self.nodes[m].zone)
-            if d is not None and d == (dim, sign):
-                out.append(m)
-        out.sort()
-        return out
+            if d is not None:
+                faces[face_slot(*d)].append(m)
+        return [tuple(sorted(f)) for f in faces]
 
-    def _rebind_neighbors(self, node_id: int, candidates: set[int]) -> None:
-        node = self.nodes[node_id]
-        for cand_id in candidates:
-            if cand_id == node_id:
-                continue
-            cand = self.nodes.get(cand_id)
-            if cand is None:
-                continue
-            if reference_adjacency_direction(node.zone, cand.zone) is not None:
-                node.neighbors.add(cand_id)
-                cand.neighbors.add(node_id)
-            else:
-                node.neighbors.discard(cand_id)
-                cand.neighbors.discard(node_id)
+    def _rebind_neighbors(self, pairs: list[tuple[int, set[int]]]) -> None:
+        for node_id, candidates in pairs:
+            node = self.nodes[node_id]
+            for cand_id in candidates:
+                if cand_id == node_id:
+                    continue
+                cand = self.nodes.get(cand_id)
+                if cand is None:
+                    continue
+                if reference_adjacency_direction(node.zone, cand.zone) is not None:
+                    node.neighbors.add(cand_id)
+                    cand.neighbors.add(node_id)
+                else:
+                    node.neighbors.discard(cand_id)
+                    cand.neighbors.discard(node_id)
 
 
 def reference_greedy_path(

@@ -124,8 +124,12 @@ def test_adjacency_matches_scalar_on_real_overlay(dims):
     overlay = make_overlay(48, dims, seed=dims)
     store = overlay.geometry
     ids = overlay.node_ids()
-    for a in ids[:16]:
-        mask, dims_arr, signs = store.adjacency(a, ids)
+    # One call pairs every candidate with each of 16 different nodes.
+    me = [a for a in ids[:16] for _ in ids]
+    mask_all, dims_all, signs_all = store.adjacency(me, ids * 16)
+    for i, a in enumerate(ids[:16]):
+        rows = slice(i * len(ids), (i + 1) * len(ids))
+        mask, dims_arr, signs = mask_all[rows], dims_all[rows], signs_all[rows]
         za = overlay.nodes[a].zone
         for b, ok, dim, sign in zip(
             ids, mask.tolist(), dims_arr.tolist(), signs.tolist()
@@ -150,10 +154,10 @@ def test_adjacency_handles_absent_and_corner_contact():
     store.add(0, z00)
     store.add(1, z11)
     store.add(2, z10)
-    mask, dims_arr, signs = store.adjacency(0, [1, 2, 777])
+    mask, dims_arr, signs = store.adjacency([0, 0, 0], [1, 2, 777])
     assert mask.tolist() == [False, True, False]
     assert (dims_arr[1], signs[1]) == (0, 1)
-    mask2, d2, s2 = store.adjacency(2, [0, 1])
+    mask2, d2, s2 = store.adjacency([2, 2], [0, 1])
     assert mask2.tolist() == [True, True]
     assert (d2[0], s2[0]) == (0, -1)
     assert (d2[1], s2[1]) == (1, 1)

@@ -53,6 +53,25 @@ def test_directional_neighbors_partition_neighbor_set(overlay_2d):
         assert directional == node.neighbors
 
 
+def test_invariants_catch_stale_face_index_and_uninterned_directions():
+    overlay = make_overlay(24, 2, seed=4)
+    for node_id in overlay.nodes:
+        overlay.directional_neighbors(node_id, 0, +1)  # builds every index
+    overlay.check_invariants()
+    node_id, node = next((i, n) for i, n in overlay.nodes.items() if n.neighbors)
+    other = next(iter(node.neighbors))
+
+    node.face_index = [tuple(reversed(face)) + (other,) for face in node.face_index]
+    with pytest.raises(AssertionError, match="face index"):
+        overlay.check_invariants()
+    node.face_index = None
+    overlay.check_invariants()
+
+    node.directions[other] = tuple(list(node.directions[other]))  # equal, not interned
+    with pytest.raises(AssertionError, match="not interned"):
+        overlay.check_invariants()
+
+
 def test_leave_until_one_node():
     overlay = make_overlay(12, 2, seed=3)
     ids = overlay.node_ids()

@@ -1,10 +1,12 @@
 """Unit tests for Table-I machine sampling."""
 
 import numpy as np
+import pytest
 
-from repro.cloud.machine import CMAX, CMAX_VECTOR, sample_machine
+from repro.cloud.machine import CMAX, CMAX_VECTOR, sample_machines
 from repro.cloud.resources import RESOURCE_DIMS
 from repro.cloud.tasks import demand_fits_cmax
+from repro.testing import reference_sample_machine
 
 
 def test_cmax_matches_table_one_maxima():
@@ -24,8 +26,7 @@ def test_demand_upper_bounds_equal_cmax():
 
 def test_sampled_machines_within_table_one():
     rng = np.random.default_rng(0)
-    for _ in range(200):
-        m = sample_machine(rng, net_bandwidth_mbps=7.5)
+    for m in sample_machines(rng, [7.5] * 200):
         assert m.processors in (1, 2, 4, 8)
         assert m.rate_per_processor in (1.0, 2.0, 2.4, 3.2)
         assert m.io_speed in (20.0, 40.0, 60.0, 80.0)
@@ -38,7 +39,7 @@ def test_sampled_machines_within_table_one():
 
 def test_capacity_vector_layout():
     rng = np.random.default_rng(1)
-    m = sample_machine(rng, net_bandwidth_mbps=6.0)
+    (m,) = sample_machines(rng, [6.0])
     cap = m.capacity
     assert cap["cpu"] == m.processors * m.rate_per_processor
     assert cap["net"] == 6.0
@@ -47,5 +48,22 @@ def test_capacity_vector_layout():
 
 def test_all_configurations_reachable():
     rng = np.random.default_rng(2)
-    procs = {sample_machine(rng, 5.0).processors for _ in range(500)}
+    procs = {m.processors for m in sample_machines(rng, [5.0] * 500)}
     assert procs == {1, 2, 4, 8}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+@pytest.mark.parametrize("n", [0, 1, 1000])
+def test_sample_machines_is_stream_compatible_with_sample_machine(seed, n):
+    """One batched draw gives the seed's per-host configurations and
+    leaves the generator exactly where the per-host calls leave it."""
+    bandwidths = np.random.default_rng(seed + 1).uniform(5.0, 10.0, n).tolist()
+    batched_rng = np.random.default_rng(seed)
+    sequential_rng = np.random.default_rng(seed)
+    batched = sample_machines(batched_rng, bandwidths)
+    sequential = [
+        reference_sample_machine(sequential_rng, bw) for bw in bandwidths
+    ]
+    assert batched == sequential
+    assert [type(m.processors) for m in batched] == [int] * n
+    assert batched_rng.random() == sequential_rng.random()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.sim.network import CONTROL_MSG_BITS, NetworkModel, NetworkParams
 
@@ -89,6 +91,45 @@ def test_remove_node_frees_lan_slot():
     model.remove_node(5)
     model.add_node(100)
     assert model.lan_of(100) == lan
+
+
+def _min_rule_pick(members: dict[int, int], lan_size: int) -> int:
+    """The seed's O(L) LAN rule, kept as the oracle: the least-populated
+    LAN (lowest id on ties), or a new LAN when that one is full."""
+    if not members:
+        return 0
+    lan, count = min(members.items(), key=lambda kv: (kv[1], kv[0]))
+    return len(members) if count >= lan_size else lan
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lan_size=st.sampled_from([1, 2, 20]),
+    ops=st.lists(st.integers(-1, 10**6), max_size=400),
+)
+# Long add/remove churn: buries stale heap entries until the heap rebuilds.
+@example(lan_size=1, ops=[-1] * 40 + [0, -1] * 200)
+@example(lan_size=20, ops=[-1] * 300 + [7, 3, -1, -1, 0] * 60)
+def test_lan_picks_match_min_rule_in_lockstep(lan_size, ops):
+    """Random join/leave sequences (``-1`` joins a fresh node, ``r >= 0``
+    removes the ``r``-th live node) pick exactly the LANs of the min rule."""
+    model = NetworkModel(NetworkParams(lan_size=lan_size), np.random.default_rng(0))
+    members: dict[int, int] = {}
+    live: list[int] = []
+    next_id = 0
+    for op in ops:
+        if op < 0 or not live:
+            expected = _min_rule_pick(members, lan_size)
+            model.add_node(next_id)
+            assert model.lan_of(next_id) == expected
+            members[expected] = members.get(expected, 0) + 1
+            live.append(next_id)
+            next_id += 1
+        else:
+            victim = live.pop(op % len(live))
+            members[model.lan_of(victim)] -= 1
+            model.remove_node(victim)
+        assert len(model._lan_heap) <= 2 * len(members) + 64
 
 
 def test_add_node_idempotent(net):
