@@ -21,12 +21,20 @@ id winning) — see ``docs/can_geometry.md`` for the bit-exactness
 contract against the scalar reference
 (:func:`repro.testing.reference_greedy_path`).
 
-:func:`greedy_paths` routes a whole batch of queries in lockstep rounds
-— all active routes' candidate blocks are concatenated and resolved by
-segmented reductions, amortizing the numpy dispatch overhead that bounds
-the single-route path.  Batched submission (``submit_many`` bursts) and
-the routing benchmarks use it; results are bit-identical to routing each
-query alone.
+The pool also keeps the route memo: every ``(node, point)`` hop the
+kernel computed and every perimeter walk.  Table-I capacities are
+discrete, so the same state-update hops recur period after period; a
+memoized hop is dropped together with the block it was computed from, so
+every hit equals what the kernel would compute
+(``docs/can_geometry.md#route-memo``).
+
+:func:`greedy_paths` routes a whole batch of queries together: each
+route replays its memoized hops, and the routes that stop at a missing
+hop form a front whose candidate blocks are concatenated and resolved by
+segmented reductions in one vectorized round, amortizing the numpy
+dispatch overhead that bounds the single-route path.  Cohort rounds,
+batched submission (``submit_many`` bursts) and the routing benchmarks
+use it; results are bit-identical to routing each query alone.
 
 Boundary targets need care: Table-I capacities are discrete, so normalized
 coordinates like 12.8/25.6 = 0.5 land *exactly* on zone boundaries, where
@@ -144,17 +152,28 @@ def _squared_distance(zone: Zone, point: Sequence[float]) -> float:
 # candidate block pool
 # ----------------------------------------------------------------------
 class _RouteBlockPool:
-    """CSR pool of per-node candidate blocks (sorted ids + bounds).
+    """CSR pool of per-node candidate blocks (sorted ids + bounds), plus
+    the route memo derived from them.
 
     One pool per (overlay geometry, pointer-table dict) pair.  Blocks are
     filled lazily on first visit and stay valid until the zone store's
     epoch moves (any membership/zone change) or the node's pointer table
     is replaced by a refresh; superseded blocks are counted as waste and
     the pool rebuilds itself lazily once waste dominates.
+
+    The route memo lives exactly as long as the data it is derived from:
+
+    - ``hops[node_id][point] = (best_dist, best_id)`` is the greedy hop
+      the kernel computed from the node's block.  A block never changes
+      while it exists, so :meth:`fill` drops the node's entries and
+      :meth:`reset` drops them all.
+    - ``walks[(landing_id, point)]`` is a perimeter walk.  A walk reads
+      only zones, neighbor sets and the partition tree, and every change
+      to those moves the store epoch, so only :meth:`reset` drops them.
     """
 
     __slots__ = ("store", "tables", "epoch", "index", "ids", "lo", "hi",
-                 "n", "waste", "generation")
+                 "n", "waste", "generation", "hops", "walks")
 
     def __init__(self, store, tables):
         self.store = store
@@ -175,6 +194,8 @@ class _RouteBlockPool:
         #: invalid (rows are reused from 0), so batched lookups that span
         #: a reset must re-resolve their blocks.
         self.generation += 1
+        self.hops: dict[int, dict[tuple, tuple[float, int]]] = {}
+        self.walks: dict[tuple, list[int]] = {}
 
     def _grow(self, needed: int) -> None:
         capacity = len(self.ids)
@@ -200,6 +221,7 @@ class _RouteBlockPool:
         entry = self.index.get(node_id)
         if entry is not None:
             self.waste += entry[1]
+            self.hops.pop(node_id, None)
             if self.waste > max(256, self.n // 2):
                 self.reset()
         node = overlay.nodes[node_id]
@@ -285,18 +307,28 @@ def greedy_path(
     pool = _pool_for(overlay, link_tables)
     while dist != 0.0:
         start, m = pool.lookup(overlay, current_id)
-        if m == 0:
-            raise RoutingError(
-                f"no progress at node {current_id} toward {pt} "
-                f"(dist {dist}, no candidates)"
-            )
-        lo = pool.lo[start : start + m]
-        hi = pool.hi[start : start + m]
-        clipped = np.clip(p, lo, hi)
-        np.subtract(clipped, p, out=clipped)
-        np.multiply(clipped, clipped, out=clipped)
-        accs = _sequential_row_sums(clipped)
-        best_dist, best_id = _pow_space_best(accs, pool.ids[start : start + m])
+        # The lookup above refilled the block if the node's table changed,
+        # which dropped the node's memoized hops with it.
+        memo = pool.hops.get(current_id)
+        hop = None if memo is None else memo.get(pt)
+        if hop is None:
+            if m == 0:
+                raise RoutingError(
+                    f"no progress at node {current_id} toward {pt} "
+                    f"(dist {dist}, no candidates)"
+                )
+            lo = pool.lo[start : start + m]
+            hi = pool.hi[start : start + m]
+            clipped = np.clip(p, lo, hi)
+            np.subtract(clipped, p, out=clipped)
+            np.multiply(clipped, clipped, out=clipped)
+            accs = _sequential_row_sums(clipped)
+            hop = _pow_space_best(accs, pool.ids[start : start + m])
+            if memo is None:
+                pool.hops[current_id] = {pt: hop}
+            else:
+                memo[pt] = hop
+        best_dist, best_id = hop
         if best_dist >= dist:
             raise RoutingError(
                 f"no progress at node {current_id} toward {pt} "
@@ -307,7 +339,7 @@ def greedy_path(
         path.append(current_id)
         if len(path) > max_hops:
             raise RoutingError(f"exceeded {max_hops} hops toward {pt}")
-    return _finish_on_boundary(overlay, current_id, p, pt, path)
+    return _finish_on_boundary(overlay, current_id, p, pt, path, pool.walks)
 
 
 def _greedy_generic(
@@ -350,19 +382,35 @@ def _greedy_generic(
         path.append(current_id)
         if len(path) > max_hops:
             raise RoutingError(f"exceeded {max_hops} hops toward {pt}")
-    return _finish_on_boundary(overlay, current_id, p, pt, path)
+    # Callback links build no pool, so there is no walk memo to share.
+    return _finish_on_boundary(overlay, current_id, p, pt, path, {})
 
 
 def _finish_on_boundary(
     overlay: CANOverlay, current_id: int, p: np.ndarray, pt: tuple,
-    path: list[int],
+    path: list[int], walks: dict,
 ) -> list[int]:
     """Distance hit zero: done if the half-open box owns the point, else
-    walk the zero-distance cluster."""
+    walk the zero-distance cluster (memoized in ``walks``)."""
     if overlay.nodes[current_id].zone.contains(pt):
         return path
-    path.extend(_perimeter_hops(overlay, current_id, p))
+    path.extend(_memo_walk(overlay, walks, current_id, p, pt))
     return path
+
+
+def _memo_walk(
+    overlay: CANOverlay, walks: dict, landing_id: int, p: np.ndarray,
+    pt: tuple,
+) -> list[int]:
+    """:func:`_perimeter_hops` through a pool's walk memo.  Table-I
+    capacities are discrete, so stalled routes repeat the exact same
+    (landing zone, boundary point) pairs; the memo is dropped whenever
+    the store epoch moves, so a cached walk is exact, not approximate."""
+    key = (landing_id, pt)
+    hops = walks.get(key)
+    if hops is None:
+        hops = walks[key] = _perimeter_hops(overlay, landing_id, p)
+    return hops
 
 
 # ----------------------------------------------------------------------
@@ -376,10 +424,13 @@ def greedy_paths(
     link_tables: Optional[dict] = None,
     on_error: str = "raise",
 ) -> list[Optional[list[int]]]:
-    """Route a batch of queries in lockstep, one vectorized round per hop
-    front: every active route's candidate block is concatenated and the
-    per-route winners come out of two segmented reductions.  Paths are
-    bit-identical to calling :func:`greedy_path` per query.
+    """Route a batch of queries together.  Every route first replays the
+    hops the route memo already holds; the routes that stop at a
+    ``(node, point)`` pair the memo lacks form one front, whose
+    candidate blocks are concatenated and resolved by two segmented
+    reductions in one vectorized round.  Rounds repeat until every route
+    has landed.  Paths are bit-identical to calling :func:`greedy_path`
+    per query.
 
     ``on_error="none"`` records ``None`` for routes that fail (unknown
     start node, no greedy progress, hop budget exceeded) instead of
@@ -397,11 +448,10 @@ def greedy_paths(
 
     paths: list[Optional[list[int]]] = [None] * n_routes
     errors: list[Optional[Exception]] = [None] * n_routes
-    cur = np.zeros(n_routes, dtype=np.int64)
-    dist = np.zeros(n_routes, dtype=np.float64)
-    nhops = np.zeros(n_routes, dtype=np.int64)
+    cur = [0] * n_routes
+    dist = [0.0] * n_routes
     boundary: list[int] = []
-    initially_active = []
+    active: list[int] = []
     known: list[int] = []
     for r in range(n_routes):
         sid = int(starts[r])
@@ -415,119 +465,109 @@ def greedy_paths(
         # One batched start-distance pass (store rows mirror the node
         # zones; the row kernel is bit-identical to the scalar gap loop).
         accs = overlay.geometry.squared_distances_rows(
-            P[known], overlay.geometry.rows_of(cur[known])
+            P[known], overlay.geometry.rows_of([cur[r] for r in known])
         )
         for r, d in zip(known, _pow_half(accs).tolist()):
             dist[r] = d
-            if d == 0.0:
-                boundary.append(r)
-            else:
-                initially_active.append(r)
+            (boundary if d == 0.0 else active).append(r)
 
     pool = _pool_for(overlay, link_tables)
-    active = np.asarray(initially_active, dtype=np.intp)
-    hop_log: list[tuple[np.ndarray, np.ndarray]] = []
-    pool_index = pool.index
     tables = link_tables
-    while active.size:
-        n_active = active.size
-        # Hot per-route loop: plain-python lists beat per-element numpy
-        # stores; entries are (start, count, table-identity) tuples.  A
-        # waste-driven pool reset mid-pass invalidates offsets resolved
+    pts = [tuple(row) for row in P.tolist()]
+    while active:
+        # Replay memoized hops.  A node's hops are valid only while its
+        # block is current, so the same block check as ``pool.lookup``
+        # comes first; a stale block sends the route to the kernel
+        # round, whose fill drops the node's hops.
+        index, memo_hops = pool.index, pool.hops
+        front: list[int] = []
+        for r in active:
+            nid, d, path, pt = cur[r], dist[r], paths[r], pts[r]
+            while True:
+                entry = index.get(nid)
+                if entry is None or entry[2] is not (
+                    None if tables is None else tables.get(nid)
+                ):
+                    front.append(r)
+                    break
+                memo = memo_hops.get(nid)
+                hop = None if memo is None else memo.get(pt)
+                if hop is None:
+                    front.append(r)
+                    break
+                if hop[0] >= d:
+                    errors[r] = RoutingError(
+                        f"no progress at node {nid} toward {pt}"
+                    )
+                    break
+                nid, d = hop[1], hop[0]
+                path.append(nid)
+                if len(path) > max_hops:
+                    errors[r] = RoutingError(f"exceeded {max_hops} hops toward {pt}")
+                    break
+                if d == 0.0:
+                    boundary.append(r)
+                    break
+            cur[r], dist[r] = nid, d
+        if not front:
+            break
+        # A waste-driven pool reset mid-pass invalidates offsets resolved
         # earlier in the same pass (rows restart from 0), so re-resolve
         # the whole front when the generation moved — a fresh pool fills
         # without waste, so the second pass cannot reset again.
-        cur_front = cur[active].tolist()
         while True:
             generation = pool.generation
             starts_l: list[int] = []
             counts_l: list[int] = []
-            for nid in cur_front:
+            for r in front:
+                nid = cur[r]
                 table = None if tables is None else tables.get(nid)
-                entry = pool_index.get(nid)
+                entry = pool.index.get(nid)
                 if entry is None or entry[2] is not table:
                     pool.fill(overlay, nid, table)
-                    pool_index = pool.index  # fill may reset the pool
-                    entry = pool_index[nid]
+                    entry = pool.index[nid]
                 starts_l.append(entry[0])
                 counts_l.append(entry[1])
             if pool.generation == generation:
                 break
-            pool_index = pool.index
-        block_start = np.asarray(starts_l, dtype=np.intp)
-        cnt = np.asarray(counts_l, dtype=np.intp)
-        if (cnt == 0).any():
+        active = []
+        live = [j for j, c in enumerate(counts_l) if c]
+        if len(live) < len(front):
             # Candidate-less routes cannot progress (and would corrupt the
             # segmented reductions): fail them, keep the rest going.
-            starved = cnt == 0
-            for r in active[starved].tolist():
-                errors[r] = RoutingError(
-                    f"no progress at node {int(cur[r])} toward "
-                    f"{tuple(P[r])} (dist {dist[r]}, no candidates)"
-                )
-            active = active[~starved]
-            block_start = block_start[~starved]
-            cnt = cnt[~starved]
-            if not active.size:
+            for j, c in enumerate(counts_l):
+                if not c:
+                    r = front[j]
+                    errors[r] = RoutingError(
+                        f"no progress at node {cur[r]} toward "
+                        f"{pts[r]} (dist {dist[r]}, no candidates)"
+                    )
+            front = [front[j] for j in live]
+            starts_l = [starts_l[j] for j in live]
+            counts_l = [counts_l[j] for j in live]
+            if not front:
                 break
-            n_active = active.size
-        total = int(cnt.sum())
-        offs = np.zeros(n_active, dtype=np.intp)
-        np.cumsum(cnt[:-1], out=offs[1:])
-        seg = np.repeat(np.arange(n_active, dtype=np.intp), cnt)
-        idx = block_start[seg] + (np.arange(total, dtype=np.intp) - offs[seg])
-        lo = pool.lo[idx]
-        hi = pool.hi[idx]
-        # One fancy-index (route row per candidate) instead of gathering
-        # the active rows and re-gathering per segment.
-        p_seg = P[active[seg]]
-        clipped = np.clip(p_seg, lo, hi)
-        np.subtract(clipped, p_seg, out=clipped)
-        np.multiply(clipped, clipped, out=clipped)
-        accs = _sequential_row_sums(clipped)
-        ids_at = pool.ids[idx]
-        best_acc = np.minimum.reduceat(accs, offs)
-        near = accs <= best_acc[seg] * _NEAR_TIE
-        masked_ids = np.where(near, ids_at, _INT64_MAX)
-        best_id = np.minimum.reduceat(masked_ids, offs)
-        # The decisive comparisons live in the seed's ``** 0.5`` space;
-        # segments with more than one near-tied candidate re-run the
-        # scalar (dist, id)-lexicographic selection exactly.
-        best_dist = _pow_half(best_acc)
-        n_near = np.add.reduceat(near.astype(np.int64), offs)
-        for j in np.flatnonzero(n_near > 1).tolist():
-            s0 = int(offs[j])
-            s1 = s0 + int(cnt[j])
-            d, b = min(
-                (float(accs[t]) ** 0.5, int(ids_at[t]))
-                for t in (np.flatnonzero(near[s0:s1]) + s0).tolist()
-            )
-            best_dist[j] = d
-            best_id[j] = b
+        best_dist, best_id = _front_best(pool, P, front, starts_l, counts_l)
+        memo_hops = pool.hops
+        for r, d, b in zip(front, best_dist, best_id):
+            nid = cur[r]
+            memo = memo_hops.get(nid)
+            if memo is None:
+                memo_hops[nid] = {pts[r]: (d, b)}
+            else:
+                memo[pts[r]] = (d, b)
+            if d >= dist[r]:
+                errors[r] = RoutingError(f"no progress at node {nid} toward {pts[r]}")
+                continue
+            cur[r], dist[r] = b, d
+            paths[r].append(b)
+            if len(paths[r]) > max_hops:
+                errors[r] = RoutingError(f"exceeded {max_hops} hops toward {pts[r]}")
+            elif d == 0.0:
+                boundary.append(r)
+            else:
+                active.append(r)
 
-        progressed = best_dist < dist[active]
-        for r in active[~progressed].tolist():
-            errors[r] = RoutingError(
-                f"no progress at node {int(cur[r])} toward {tuple(P[r])}"
-            )
-        adv = active[progressed]
-        adv_ids = best_id[progressed]
-        adv_dist = best_dist[progressed]
-        cur[adv] = adv_ids
-        dist[adv] = adv_dist
-        nhops[adv] += 1
-        hop_log.append((adv, adv_ids))
-        overflow = nhops[adv] + 1 > max_hops
-        for r in adv[overflow].tolist():
-            errors[r] = RoutingError(f"exceeded {max_hops} hops toward {tuple(P[r])}")
-        finished = adv_dist == 0.0
-        boundary.extend(adv[finished & ~overflow].tolist())
-        active = adv[~finished & ~overflow]
-
-    for adv, adv_ids in hop_log:
-        for r, b in zip(adv.tolist(), adv_ids.tolist()):
-            if errors[r] is None:
-                paths[r].append(b)
     landed = [r for r in boundary if errors[r] is None]
     if landed:
         # Batched half-open ownership test; only the (rare) routes that
@@ -536,20 +576,12 @@ def greedy_paths(
             P[landed],
             overlay.geometry.rows_of([paths[r][-1] for r in landed]),
         )
-        # Memoize the perimeter walks within this batch: Table-I
-        # capacities are discrete, so stalled routes repeat the exact
-        # same (landing zone, boundary point) pairs — and the overlay is
-        # immutable for the duration of the call, so a cached walk is
-        # exact, not approximate.
-        memo: dict[tuple[int, tuple[float, ...]], list[int]] = {}
+        walks = pool.walks
         for r, ok in zip(landed, owned.tolist()):
             if not ok:
-                key = (paths[r][-1], tuple(P[r].tolist()))
-                hops = memo.get(key)
-                if hops is None:
-                    hops = _perimeter_hops(overlay, paths[r][-1], P[r])
-                    memo[key] = hops
-                paths[r].extend(hops)
+                paths[r].extend(_memo_walk(
+                    overlay, walks, paths[r][-1], P[r], pts[r]
+                ))
 
     if on_error == "raise":
         for err in errors:
@@ -560,6 +592,52 @@ def greedy_paths(
             if err is not None:
                 paths[r] = None
     return paths
+
+
+def _front_best(
+    pool: _RouteBlockPool,
+    P: np.ndarray,
+    front: list[int],
+    starts_l: list[int],
+    counts_l: list[int],
+) -> tuple[list[float], list[int]]:
+    """Each front route's ``(best_dist, best_id)`` over its candidate
+    block, in one segmented pass over the concatenated blocks."""
+    n = len(front)
+    block_start = np.asarray(starts_l, dtype=np.intp)
+    cnt = np.asarray(counts_l, dtype=np.intp)
+    total = int(cnt.sum())
+    offs = np.zeros(n, dtype=np.intp)
+    np.cumsum(cnt[:-1], out=offs[1:])
+    seg = np.repeat(np.arange(n, dtype=np.intp), cnt)
+    idx = block_start[seg] + (np.arange(total, dtype=np.intp) - offs[seg])
+    lo = pool.lo[idx]
+    hi = pool.hi[idx]
+    # One fancy-index (route row per candidate) instead of gathering
+    # the front rows and re-gathering per segment.
+    p_seg = P[np.asarray(front, dtype=np.intp)[seg]]
+    clipped = np.clip(p_seg, lo, hi)
+    np.subtract(clipped, p_seg, out=clipped)
+    np.multiply(clipped, clipped, out=clipped)
+    accs = _sequential_row_sums(clipped)
+    ids_at = pool.ids[idx]
+    best_acc = np.minimum.reduceat(accs, offs)
+    near = accs <= best_acc[seg] * _NEAR_TIE
+    masked_ids = np.where(near, ids_at, _INT64_MAX)
+    best_dist = _pow_half(best_acc).tolist()
+    best_id = np.minimum.reduceat(masked_ids, offs).tolist()
+    # The decisive comparisons live in the seed's ``** 0.5`` space;
+    # segments with more than one near-tied candidate re-run the
+    # scalar (dist, id)-lexicographic selection exactly.
+    n_near = np.add.reduceat(near.astype(np.int64), offs)
+    for j in np.flatnonzero(n_near > 1).tolist():
+        s0 = int(offs[j])
+        s1 = s0 + counts_l[j]
+        best_dist[j], best_id[j] = min(
+            (float(accs[t]) ** 0.5, int(ids_at[t]))
+            for t in (np.flatnonzero(near[s0:s1]) + s0).tolist()
+        )
+    return best_dist, best_id
 
 
 # ----------------------------------------------------------------------

@@ -313,7 +313,11 @@ class DiffusionEngine:
         (the common case) filter exclusion/liveness over the cached tuple
         mirror; large pools use one vectorized mask.  Both branches keep
         chain order and draw-for-draw RNG compatibility with the scalar
-        reference (:class:`repro.testing.ReferenceDiffusionEngine`)."""
+        reference (:class:`repro.testing.ReferenceDiffusionEngine`): a
+        single pick is one ``rng.integers(n)`` draw, which yields the
+        same index and leaves the generator in the same state as
+        ``rng.choice(n, size=1, replace=False)`` without building its
+        Floyd hash set."""
         table = self.tables.get(node)
         if table is None:
             return []
@@ -330,6 +334,8 @@ class DiffusionEngine:
                 return []
             if len(pool) <= k:
                 return pool
+            if k == 1:
+                return [pool[int(self.ctx.rng.integers(len(pool)))]]
             idx = self.ctx.rng.choice(len(pool), size=k, replace=False)
             return [pool[i] for i in idx]
         arr = table.negative_pool(dim)
@@ -341,5 +347,7 @@ class DiffusionEngine:
             return []
         if arr.size <= k:
             return arr.tolist()
+        if k == 1:
+            return [int(arr[self.ctx.rng.integers(arr.size)])]
         idx = self.ctx.rng.choice(arr.size, size=k, replace=False)
         return arr[idx].tolist()

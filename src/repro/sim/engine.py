@@ -226,7 +226,9 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._heap: list[Event] = []
+        #: ``(time, priority, seq, event)`` entries: ``seq`` is unique, so
+        #: heap compares never reach the event itself.
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._pending = 0
         self._running = False
@@ -290,7 +292,7 @@ class Simulator:
             )
         event = Event(when, priority, self._seq, fn, args)
         self._seq += 1
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (when, priority, event.seq, event))
         self._pending += 1
         return EventHandle(event, self)
 
@@ -392,11 +394,11 @@ class Simulator:
         self._stopped = False
         processed_here = 0
         try:
-            while self._heap and not self._stopped:
-                event = self._heap[0]
-                if until is not None and event.time > until:
+            heap = self._heap
+            while heap and not self._stopped:
+                if until is not None and heap[0][0] > until:
                     break
-                heapq.heappop(self._heap)
+                event = heapq.heappop(heap)[3]
                 if event.cancelled:
                     continue
                 event.done = True

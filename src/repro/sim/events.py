@@ -1,6 +1,7 @@
 """Event records for the discrete-event engine.
 
-Events are ordered by ``(time, priority, seq)``.  The monotonically
+Events are ordered by ``(time, priority, seq)`` — the simulator pushes
+that tuple (with the event last) onto its heap.  The monotonically
 increasing sequence number makes ordering total and deterministic even when
 many events share a timestamp — crucial for reproducibility of the
 simulation, since protocol behaviour (e.g. which of two simultaneous task
@@ -38,13 +39,3 @@ class Event:
     #: Set once the event has been popped for execution — a late ``cancel()``
     #: on an already-fired event must not touch the live-event counter.
     done: bool = field(default=False, compare=False)
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
-
-    def sort_key(self) -> tuple[float, int, int]:
-        return (self.time, self.priority, self.seq)

@@ -48,7 +48,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.can.inscan import build_index_table
+from repro.can.inscan import IndexPointerTable, build_index_table
 from repro.can.node import face_slot
 from repro.can.overlay import CANOverlay
 from repro.can.routing import RoutingError, greedy_path, greedy_paths
@@ -93,6 +93,7 @@ __all__ = [
     "assert_results_identical",
     "assert_delivery_modes_equivalent",
     "assert_cache_off_equivalent",
+    "assert_routes_match_reference",
 ]
 
 #: Work below this is treated as done (guards float round-off at completion).
@@ -859,6 +860,25 @@ def _diffusion_rig(overlay: CANOverlay, engine_cls, seed: int, dead: set[int]):
     return engine_cls(ctx, tables, pilists, overlay.dims, L=2), tables
 
 
+def _swap_on_path_table(
+    overlay: CANOverlay, paths: list[list[int]], vec_tables: dict,
+    ref_tables: dict,
+) -> bool:
+    """Replace one on-path node's pointer table, in place in both table
+    dicts, with an empty one (``False`` when every route was a single
+    node).  The node is the first whose next hop went over a long link,
+    so a memoized hop that outlived its candidate block would name a
+    candidate the node no longer has."""
+    hops = [(a, b) for path in paths for a, b in zip(path, path[1:])]
+    if not hops:
+        return False
+    nodes = overlay.nodes
+    node = next((a for a, b in hops if b not in nodes[a].neighbors), hops[0][0])
+    vec_tables[node] = IndexPointerTable(node)
+    ref_tables[node] = IndexPointerTable(node)
+    return True
+
+
 def assert_overlays_equivalent(
     seed: int,
     n: int = 32,
@@ -872,7 +892,9 @@ def assert_overlays_equivalent(
     batched, including exact-boundary targets) and SID/HID diffusion
     triggers, asserting they stay indistinguishable: identical adjacency
     sets, directional neighbor lists, routing paths (hop for hop) and
-    diffusion recipients/messages/depth.
+    diffusion recipients/messages/depth.  Every route is taken twice, the
+    second time through the route memo, with one on-path node's pointer
+    table replaced in place between the passes.
 
     Raises ``AssertionError`` on the first divergence; returns summary
     counters (used by the equivalence tests and the pre-commit smoke).
@@ -884,7 +906,7 @@ def assert_overlays_equivalent(
     ref.bootstrap(range(n))
     next_id = n
     stats = {"joined": 0, "left": 0, "routes": 0, "boundary_routes": 0,
-             "diffusions": 0}
+             "diffusions": 0, "table_swaps": 0}
 
     def check_structure() -> None:
         assert set(vec.nodes) == set(ref.nodes)
@@ -916,14 +938,25 @@ def assert_overlays_equivalent(
             i: build_index_table(ref, i, np.random.default_rng(seed + 7 + i))
             for i in ids
         }
-        for s, p in zip(starts, points):
-            got = greedy_path(vec, s, p)
-            want = reference_greedy_path(ref, s, p)
-            assert got == want, f"greedy path diverged from {s} to {p}"
-            got = greedy_path(vec, s, p, link_tables=vec_tables)
-            want = reference_inscan_path(ref, ref_tables, s, p)
-            assert got == want, f"inscan path diverged from {s} to {p}"
-            stats["routes"] += 2
+
+        def route_pass() -> list[list[int]]:
+            inscan_routes = []
+            for s, p in zip(starts, points):
+                got = greedy_path(vec, s, p)
+                want = reference_greedy_path(ref, s, p)
+                assert got == want, f"greedy path diverged from {s} to {p}"
+                got = greedy_path(vec, s, p, link_tables=vec_tables)
+                want = reference_inscan_path(ref, ref_tables, s, p)
+                assert got == want, f"inscan path diverged from {s} to {p}"
+                inscan_routes.append(got)
+                stats["routes"] += 2
+            return inscan_routes
+
+        # The second pass is served from the route memo, except at the
+        # node whose pointer table was replaced between the passes.
+        first = route_pass()
+        stats["table_swaps"] += _swap_on_path_table(vec, first, vec_tables, ref_tables)
+        route_pass()
         batch = greedy_paths(vec, starts, points, link_tables=vec_tables)
         singles = [
             greedy_path(vec, s, p, link_tables=vec_tables)
@@ -1187,6 +1220,63 @@ def assert_results_identical(a, b) -> None:
         assert np.array_equal(
             np.asarray(series.values), np.asarray(other.values), equal_nan=True
         ), f"{name} sample values diverge"
+
+
+def assert_routes_match_reference(config) -> tuple:
+    """Run ``config`` with every route the protocol takes checked against
+    :func:`reference_inscan_path` on the live overlay and tables, and
+    assert each one matches hop for hop (a route the reference cannot
+    take must fail in production too).
+
+    Meant for a small cell with churn and a horizon past the pointer-table
+    refresh period, so routes cross membership changes and table
+    replacements with the route memo warm.  Wraps the single-route
+    ``inscan_path`` and the batched ``inscan_paths`` where the protocol
+    and the query engine call them.  Returns ``(result, counts)``.
+    """
+    from repro.core import protocol as protocol_mod
+    from repro.core import query as query_mod
+    from repro.experiments.runner import SOCSimulation
+
+    counts = {"routes": 0, "batched_routes": 0, "failed": 0}
+
+    def reference(overlay, tables, start_id, point, max_hops):
+        try:
+            return reference_inscan_path(overlay, tables, start_id, point, max_hops)
+        except (RoutingError, KeyError):
+            return None
+
+    def checked_path(overlay, tables, start_id, point, max_hops=None):
+        want = reference(overlay, tables, start_id, point, max_hops)
+        try:
+            got = real_path(overlay, tables, start_id, point, max_hops)
+        except (RoutingError, KeyError):
+            assert want is None, f"route from {start_id} failed, reference {want}"
+            counts["failed"] += 1
+            raise
+        assert got == want, f"route from {start_id} to {point} diverged"
+        counts["routes"] += 1
+        return got
+
+    def checked_paths(overlay, tables, starts, points, max_hops=None,
+                      on_error="raise"):
+        got = real_paths(overlay, tables, starts, points, max_hops, on_error)
+        for s, p, path in zip(starts, np.asarray(points), got):
+            want = reference(overlay, tables, s, p, max_hops)
+            assert path == want, f"batched route from {s} to {p} diverged"
+            counts["batched_routes" if path is not None else "failed"] += 1
+        return got
+
+    real_path, real_paths = protocol_mod.inscan_path, protocol_mod.inscan_paths
+    modules = (protocol_mod, query_mod)
+    for mod in modules:
+        mod.inscan_path, mod.inscan_paths = checked_path, checked_paths
+    try:
+        result = SOCSimulation(config).run()
+    finally:
+        for mod in modules:
+            mod.inscan_path, mod.inscan_paths = real_path, real_paths
+    return result, counts
 
 
 class ReferencePIList:

@@ -15,6 +15,7 @@ from repro.can.routing import RoutingError, greedy_path, greedy_paths
 from repro.testing import (
     ReferenceCANOverlay,
     assert_overlays_equivalent,
+    assert_routes_match_reference,
     reference_greedy_path,
     reference_inscan_path,
 )
@@ -31,6 +32,31 @@ def test_randomized_schedules_stay_equivalent(seed):
 def test_randomized_schedule_5d_paper_dims():
     stats = assert_overlays_equivalent(seed=7, n=32, dims=5, steps=25)
     assert stats["boundary_routes"] > 0
+
+
+@pytest.mark.parametrize("seed", [2, 3, 4])
+@pytest.mark.parametrize("tick_mode", ["per-node", "cohort"])
+def test_protocol_routes_match_reference_under_churn(seed, tick_mode):
+    """Every route a churn cell takes — across joins, leaves and
+    pointer-table refreshes, with the route memo warm — equals the scalar
+    reference path; cohort ticking covers the batched routing pass."""
+    from repro.core.protocol import PIDCANParams
+    from repro.experiments.config import ExperimentConfig
+
+    _, counts = assert_routes_match_reference(
+        ExperimentConfig(
+            protocol="hid-can",
+            demand_ratio=0.2,
+            n_nodes=96,
+            duration=8000.0,
+            sample_period=1000.0,
+            seed=seed,
+            churn_degree=0.1,
+            pidcan=PIDCANParams(tick_mode=tick_mode, phase_buckets=16),
+        )
+    )
+    routed = counts["batched_routes" if tick_mode == "cohort" else "routes"]
+    assert routed > 0
 
 
 def make_reference_overlay(n, dims, seed=0):

@@ -170,3 +170,27 @@ def test_traffic_charged_per_message():
     )
     result = engine.diffuse(origin, "hid")
     assert h.traffic.by_kind["index-diffusion"] == result.messages
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+@pytest.mark.parametrize("chain_len", [2, 3, 5, 17, 40])
+def test_pick_ninodes_is_stream_compatible_with_reference(seed, chain_len):
+    """Single NINode picks take one ``rng.integers`` draw instead of
+    ``rng.choice(n, size=1, replace=False)``: both the scalar-filter and
+    the vectorized pool branch must pick what the scalar reference picks
+    and leave the generator exactly where it leaves it."""
+    from repro.can.inscan import IndexPointerTable
+    from repro.testing import ReferenceDiffusionEngine
+
+    node, dead = 0, 3
+    table = IndexPointerTable(node)
+    table.links[(0, -1)] = list(range(1, chain_len + 2))
+    picks = {}
+    for cls in (DiffusionEngine, ReferenceDiffusionEngine):
+        h = Harness(n=8, dims=2, seed=seed)
+        h.kill(dead)
+        engine = cls(h.ctx, {node: table}, h.pilists, h.overlay.dims, 2)
+        got = [engine._pick_ninodes(node, 0, k, exclude=1) for k in (1, 1, 2, 1)]
+        picks[cls] = (got, h.ctx.rng.random())
+    assert picks[DiffusionEngine] == picks[ReferenceDiffusionEngine]
+    assert all(dead not in p and 1 not in p for p in picks[DiffusionEngine][0])

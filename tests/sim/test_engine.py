@@ -228,7 +228,7 @@ def test_pending_is_constant_time_counter_not_heap_scan():
             handles.append(sim.schedule(rng.uniform(0.1, 50.0), lambda: None))
         elif handles:
             handles.pop(rng.randrange(len(handles))).cancel()
-        brute = sum(1 for e in sim._heap if not e.cancelled)
+        brute = sum(1 for entry in sim._heap if not entry[3].cancelled)
         assert sim.pending() == brute
     sim.run()
     assert sim.pending() == 0

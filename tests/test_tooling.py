@@ -71,6 +71,34 @@ def test_zone_store_equivalence_smoke():
     assert stats["routes"] > 0 and stats["diffusions"] > 0
 
 
+def test_route_memo_equivalence_smoke():
+    """Fast-gate smoke of the route memo: routes taken twice (with one
+    on-path pointer table replaced in place in between) match the scalar
+    reference hop for hop, and so does every route a small churn cell
+    takes across its pointer-table refreshes (the heavier cells live in
+    tests/can/test_overlay_equivalence.py)."""
+    from repro.experiments.config import ExperimentConfig
+    from repro.testing import (
+        assert_overlays_equivalent,
+        assert_routes_match_reference,
+    )
+
+    stats = assert_overlays_equivalent(seed=2, n=20, dims=3, steps=14)
+    assert stats["table_swaps"] > 0
+    result, counts = assert_routes_match_reference(
+        ExperimentConfig(
+            protocol="hid-can",
+            demand_ratio=0.2,
+            n_nodes=64,
+            duration=5000.0,
+            sample_period=1000.0,
+            seed=2,
+            churn_degree=0.1,
+        )
+    )
+    assert counts["routes"] > 0 and result.generated > 0
+
+
 def test_cohort_equivalence_smoke():
     """Fast-gate smoke of cohort event coalescing: a small HID-CAN cell
     under cohort ticking must stay metric- and series-identical to the
